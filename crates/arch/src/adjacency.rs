@@ -50,9 +50,9 @@ pub struct NeighborTable {
     offsets: Vec<u32>,
     /// Dense site indices, per site in the disc's nearest-first order.
     neighbors: Vec<u32>,
-    /// Coarse R×R clustering of this table (see [`RegionGrid`]),
-    /// derived from the fine CSR so every consumer of the table gets
-    /// the region hierarchy for free.
+    /// Coarse R×R clustering of this table's lattice (see
+    /// [`RegionGrid`]), so every consumer of the table gets the region
+    /// partition for free.
     regions: RegionGrid,
 }
 
@@ -75,7 +75,7 @@ impl NeighborTable {
             }
             offsets.push(neighbors.len() as u32);
         }
-        let regions = RegionGrid::from_csr(lattice, &offsets, &neighbors, RegionGrid::DEFAULT_SIDE);
+        let regions = RegionGrid::from_lattice(lattice, RegionGrid::DEFAULT_SIDE);
         NeighborTable {
             lattice: *lattice,
             radius: hood.radius(),
@@ -108,12 +108,6 @@ impl NeighborTable {
         self.offsets.len() - 1
     }
 
-    /// Total number of directed adjacency entries.
-    #[inline]
-    pub fn num_edges(&self) -> usize {
-        self.neighbors.len()
-    }
-
     /// The in-bounds neighbors of dense site index `idx`, nearest
     /// first — dense indices, already bounds-checked at build time.
     #[inline]
@@ -131,40 +125,27 @@ impl NeighborTable {
         self.lattice == *lattice && self.radius == r
     }
 
-    /// The coarse R×R region clustering of this table — region-level
-    /// adjacency plus per-region site slices, used by the routing core
-    /// for coarse-to-fine distance queries and ring-ordered scans.
+    /// The coarse R×R region clustering of this table — per-region site
+    /// slices, used by the routing core for ring-ordered scans.
     #[inline]
     pub fn regions(&self) -> &RegionGrid {
         &self.regions
     }
 }
 
-/// Coarse R×R clustering of a [`NeighborTable`]: the lattice bounding
-/// box is tiled into square regions of `side × side` geometric cells,
-/// and the fine CSR is projected onto them — a region-level adjacency
-/// graph (region `A` is adjacent to region `B` iff some fine edge
-/// crosses them) plus per-region dense-site slices.
+/// Coarse R×R clustering of a [`NeighborTable`]'s lattice: the lattice
+/// bounding box is tiled into square regions of `side × side` geometric
+/// cells, each holding a slice of dense site indices.
 ///
-/// Two properties make the grid useful to the routing core:
+/// **Ring ordering** makes the grid useful to the routing core: sites
+/// of a region at Chebyshev region distance `K ≥ 1` from a reference
+/// region are at least `(K - 1)·side + 1` cells away, so nearest-site
+/// scans can walk outward ring by ring and stop as soon as the best hit
+/// beats the next ring's lower bound.
 ///
-/// * **Admissibility** — any fine path makes at most one region
-///   transition per hop, so the region-graph BFS distance between two
-///   sites' regions is a lower bound on their fine BFS distance (over
-///   the full lattice *and* over any occupancy-restricted subgraph,
-///   since removing fine edges only grows fine distances). Region
-///   reachability is therefore a sound pruning criterion: a site whose
-///   region cannot reach any target's region in the region graph
-///   cannot reach the target at all.
-/// * **Ring ordering** — sites of a region at Chebyshev region
-///   distance `K ≥ 1` from a reference region are at least
-///   `(K - 1)·side + 1` cells away, so nearest-site scans can walk
-///   outward ring by ring and stop as soon as the best hit beats the
-///   next ring's lower bound.
-///
-/// The grid is a deterministic pure function of `(lattice, radius)`
-/// (via the fine CSR), so it participates in [`TargetSpec`] equality
-/// without breaking the re-spec round-trip.
+/// The grid is a deterministic pure function of the lattice, so it
+/// participates in [`TargetSpec`] equality without breaking the
+/// re-spec round-trip.
 ///
 /// [`TargetSpec`]: crate::target::TargetSpec
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -182,21 +163,15 @@ pub struct RegionGrid {
     site_offsets: Vec<u32>,
     /// Dense site indices grouped by region, ascending within each.
     sites: Vec<u32>,
-    /// CSR offsets into `adj`, one slice per region.
-    adj_offsets: Vec<u32>,
-    /// Adjacent region ids (deduplicated, ascending, no self-loops).
-    adj: Vec<u32>,
 }
 
 impl RegionGrid {
-    /// Default region edge length in lattice cells. Large enough that
-    /// every interaction radius in use (≤ a few cells) only produces
-    /// edges between touching regions, small enough that a 100×100
-    /// lattice still resolves into a 13×13 region graph.
+    /// Default region edge length in lattice cells: small enough that a
+    /// 100×100 lattice still resolves into a 13×13 region grid.
     pub const DEFAULT_SIDE: u32 = 8;
 
-    /// The region partition of a lattice at the given region side,
-    /// without adjacency: `(regions_x, regions_y, region_of)` where
+    /// The region partition of a lattice at the given region side:
+    /// `(regions_x, regions_y, region_of)` where
     /// `region_of[dense site index] = ry * regions_x + rx`. This is the
     /// single source of truth for the site→region mapping — the routing
     /// core's occupancy buckets use it so they can never drift from the
@@ -219,13 +194,8 @@ impl RegionGrid {
         (regions_x, regions_y, region_of)
     }
 
-    /// Clusters a fine CSR into regions of the given side length.
-    pub(crate) fn from_csr(
-        lattice: &Lattice,
-        offsets: &[u32],
-        neighbors: &[u32],
-        side: u32,
-    ) -> Self {
+    /// Clusters a lattice into regions of the given side length.
+    pub(crate) fn from_lattice(lattice: &Lattice, side: u32) -> Self {
         let (regions_x, regions_y, region_of) = Self::partition(lattice, side.max(1));
         let num_regions = (regions_x * regions_y) as usize;
         let n = lattice.num_sites();
@@ -246,29 +216,6 @@ impl RegionGrid {
             cursor[r as usize] += 1;
         }
 
-        // Region adjacency = projection of the fine edges.
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        for i in 0..n {
-            let (lo, hi) = (offsets[i] as usize, offsets[i + 1] as usize);
-            let ri = region_of[i];
-            for &j in &neighbors[lo..hi] {
-                let rj = region_of[j as usize];
-                if ri != rj {
-                    pairs.push((ri, rj));
-                }
-            }
-        }
-        pairs.sort_unstable();
-        pairs.dedup();
-        let mut adj_offsets = vec![0u32; num_regions + 1];
-        for &(a, _) in &pairs {
-            adj_offsets[a as usize + 1] += 1;
-        }
-        for r in 0..num_regions {
-            adj_offsets[r + 1] += adj_offsets[r];
-        }
-        let adj = pairs.iter().map(|&(_, b)| b).collect();
-
         RegionGrid {
             side: side.max(1),
             regions_x,
@@ -276,8 +223,6 @@ impl RegionGrid {
             region_of,
             site_offsets,
             sites,
-            adj_offsets,
-            adj,
         }
     }
 
@@ -306,27 +251,12 @@ impl RegionGrid {
         self.region_of[site_idx]
     }
 
-    /// `(rx, ry)` grid coordinates of a region id.
-    #[inline]
-    pub fn coords(&self, region: u32) -> (u32, u32) {
-        (region % self.regions_x, region / self.regions_x)
-    }
-
     /// The dense site indices inside a region, ascending.
     #[inline]
     pub fn sites_in(&self, region: u32) -> &[u32] {
         let lo = self.site_offsets[region as usize] as usize;
         let hi = self.site_offsets[region as usize + 1] as usize;
         &self.sites[lo..hi]
-    }
-
-    /// The regions adjacent to `region` in the projected fine graph
-    /// (deduplicated, ascending, no self-loop).
-    #[inline]
-    pub fn neighbors(&self, region: u32) -> &[u32] {
-        let lo = self.adj_offsets[region as usize] as usize;
-        let hi = self.adj_offsets[region as usize + 1] as usize;
-        &self.adj[lo..hi]
     }
 
     /// Visits every region of a `regions_x × regions_y` grid whose
@@ -447,46 +377,12 @@ mod tests {
     }
 
     #[test]
-    fn region_adjacency_projects_every_fine_edge() {
-        let lat = Lattice::new(20);
-        let table = NeighborTable::for_radius(&lat, 2.5);
-        let grid = table.regions();
-        for idx in 0..table.num_sites() {
-            let ri = grid.region_of(idx);
-            for &n in table.neighbors(idx) {
-                let rj = grid.region_of(n as usize);
-                assert!(
-                    ri == rj || grid.neighbors(ri).contains(&rj),
-                    "fine edge {idx}->{n} crosses regions {ri}->{rj} with no region edge"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn region_adjacency_is_symmetric_and_self_free() {
-        let lat = Lattice::zoned(12, 3, 2).unwrap();
-        let table = NeighborTable::for_radius(&lat, 2.5);
-        let grid = table.regions();
-        for region in 0..grid.num_regions() as u32 {
-            for &other in grid.neighbors(region) {
-                assert_ne!(region, other, "self-loop at region {region}");
-                assert!(
-                    grid.neighbors(other).contains(&region),
-                    "region edge {region}->{other} not symmetric"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn small_lattices_collapse_to_one_region() {
         let lat = Lattice::new(6);
         let table = NeighborTable::for_radius(&lat, 2.5);
         let grid = table.regions();
         assert_eq!(grid.dims(), (1, 1));
         assert_eq!(grid.sites_in(0).len(), 36);
-        assert!(grid.neighbors(0).is_empty());
     }
 
     #[test]
@@ -495,10 +391,6 @@ mod tests {
         let table = NeighborTable::for_radius(&lat, 2.5);
         let grid = table.regions();
         assert_eq!(grid.dims(), (13, 13));
-        // Interior regions touch their 8 Chebyshev neighbors (r = 2.5
-        // never skips a region at side 8).
-        let interior = 5 * 13 + 5;
-        assert_eq!(grid.neighbors(interior).len(), 8);
     }
 
     #[test]

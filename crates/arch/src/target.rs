@@ -198,13 +198,11 @@ pub struct TargetSpec {
     /// `(lattice, params.r_int)`, rebuilt (never trusted) by
     /// [`TargetSpec::resolve`] when a spec is assembled from parts.
     pub interaction_table: NeighborTable,
-    /// Coarse R×R clustering of the interaction table — the
-    /// region-level adjacency graph and per-region site slices the
-    /// routing core uses for coarse-to-fine distance queries and
-    /// ring-ordered scans on mega-scale lattices (see
+    /// Coarse R×R clustering of the interaction table's lattice — the
+    /// per-region site slices the routing core uses for ring-ordered
+    /// scans on mega-scale lattices (see
     /// [`RegionGrid`](crate::adjacency::RegionGrid)). Like the fine
-    /// table, derived data: a pure function of
-    /// `(lattice, params.r_int)`.
+    /// table, derived data: a pure function of the lattice.
     pub region_graph: crate::adjacency::RegionGrid,
 }
 

@@ -52,8 +52,7 @@ fn bench_best_swap(c: &mut Criterion) {
         .collect();
     c.bench_function("best_swap_front8", |b| {
         b.iter(|| {
-            let mut ctx =
-                RoutingContext::new(&mut state, &hood, &table, params.r_int, &mut scratch);
+            let mut ctx = RoutingContext::new(&mut state, &table, params.r_int, &mut scratch);
             router.best_swap(&mut ctx, &front, &[])
         })
     });
@@ -68,8 +67,7 @@ fn bench_find_position(c: &mut Criterion) {
     let qubits = [Qubit(0), Qubit(100), Qubit(199)];
     c.bench_function("find_position_c2z", |b| {
         b.iter(|| {
-            let mut ctx =
-                RoutingContext::new(&mut state, &hood, &table, params.r_int, &mut scratch);
+            let mut ctx = RoutingContext::new(&mut state, &table, params.r_int, &mut scratch);
             router.find_position(&mut ctx, &qubits)
         })
     });
@@ -91,8 +89,7 @@ fn bench_move_chains(c: &mut Criterion) {
     let front_refs: Vec<&FrontierGate> = front.iter().collect();
     c.bench_function("best_chain_front8", |b| {
         b.iter(|| {
-            let mut ctx =
-                RoutingContext::new(&mut state, &hood, &table, params.r_int, &mut scratch);
+            let mut ctx = RoutingContext::new(&mut state, &table, params.r_int, &mut scratch);
             router.best_chains(&mut ctx, &front_refs, &[])
         })
     });

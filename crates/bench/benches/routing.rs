@@ -2,11 +2,10 @@
 //! queries, shuttle candidate-evaluation throughput, end-to-end
 //! `HybridMapper::map` on QFT-24/QAOA-24 over a 6×6 lattice, and the
 //! **paper-scale tier** — QFT-64/QAOA-80 on the paper's 15×15/200-atom
-//! machine plus a 30×30/800-atom extrapolation — with bounded-BFS
-//! settle counts showing how much lattice a targeted query touches, and
-//! the **mega tier** — QFT-128/QAOA-256 on a 100×100/4500-atom machine
-//! exercising the hierarchical coarse-to-fine router (region corridors,
-//! ring-walk site scans, LRU-bounded distance cache).
+//! machine plus a 30×30/800-atom extrapolation — and the **mega tier** —
+//! QFT-128/QAOA-256 on a 100×100/4500-atom machine exercising the
+//! large-lattice paths (ring-walk site scans, LRU-bounded distance
+//! cache).
 //!
 //! Besides the criterion output, this bench writes a machine-readable
 //! baseline to `BENCH_routing.json` at the workspace root so future PRs
@@ -117,7 +116,6 @@ fn mega_random() -> Circuit {
 /// warm variants.
 fn query_pass(
     state: &mut MappingState,
-    hood: &Neighborhood,
     table: &NeighborTable,
     r_int: f64,
     scratch: &mut RouteScratch,
@@ -127,7 +125,7 @@ fn query_pass(
         .iter()
         .filter(|s| !state.is_free(*s))
         .collect();
-    let ctx = RoutingContext::new(state, hood, table, r_int, scratch);
+    let mut ctx = RoutingContext::new(state, table, r_int, scratch);
     let mut acc = 0u64;
     for site in occupied {
         acc += u64::from(ctx.distances_from(site)[0]);
@@ -137,12 +135,7 @@ fn query_pass(
 
 /// One pass with a fresh arena per query = the old per-call BFS
 /// recomputation.
-fn query_cold(
-    state: &mut MappingState,
-    hood: &Neighborhood,
-    table: &NeighborTable,
-    r_int: f64,
-) -> u64 {
+fn query_cold(state: &mut MappingState, table: &NeighborTable, r_int: f64) -> u64 {
     let occupied: Vec<_> = state
         .lattice()
         .iter()
@@ -151,7 +144,7 @@ fn query_cold(
     let mut acc = 0u64;
     for site in occupied {
         let mut scratch = RouteScratch::new();
-        let ctx = RoutingContext::new(state, hood, table, r_int, &mut scratch);
+        let mut ctx = RoutingContext::new(state, table, r_int, &mut scratch);
         acc += u64::from(ctx.distances_from(site)[0]);
     }
     acc
@@ -176,13 +169,13 @@ fn bench_distance_cache(c: &mut Criterion) {
     let hood = Neighborhood::new(params.r_int);
     let table = NeighborTable::build(state.lattice(), &hood);
     let mut warm = RouteScratch::new();
-    query_pass(&mut state, &hood, &table, params.r_int, &mut warm); // fill the cache
+    query_pass(&mut state, &table, params.r_int, &mut warm); // fill the cache
     let mut group = c.benchmark_group("distance_queries");
     group.bench_function("cold", |b| {
-        b.iter(|| query_cold(&mut state, &hood, &table, params.r_int))
+        b.iter(|| query_cold(&mut state, &table, params.r_int))
     });
     group.bench_function("cached", |b| {
-        b.iter(|| query_pass(&mut state, &hood, &table, params.r_int, &mut warm))
+        b.iter(|| query_pass(&mut state, &table, params.r_int, &mut warm))
     });
     group.finish();
 }
@@ -198,8 +191,7 @@ fn bench_candidate_eval(c: &mut Criterion) {
     let refs: Vec<&FrontierGate> = front.iter().collect();
     c.bench_function("shuttle_candidates_front8", |b| {
         b.iter(|| {
-            let mut ctx =
-                RoutingContext::new(&mut state, &hood, &table, params.r_int, &mut scratch);
+            let mut ctx = RoutingContext::new(&mut state, &table, params.r_int, &mut scratch);
             router.best_chains(&mut ctx, &refs, &[])
         })
     });
@@ -318,7 +310,6 @@ fn round_eval_us(params: &HardwareParams, mode: RoundMode, runs: u32) -> f64 {
                     &frontier,
                     &[],
                     &eligible,
-                    1,
                     &mut scratch,
                     &mut out,
                 )
@@ -353,62 +344,6 @@ fn map_ms_with_cache(
     (ms, stats)
 }
 
-/// Floods the distance cache with one bounded (corridor-armed) query
-/// per atom of a mega-scale identity state: thousands of distinct
-/// sources on a single occupancy generation, so the LRU cap must evict
-/// while the region corridor keeps each fine BFS local. This is the
-/// workload that demonstrates the memory bound — resident entries never
-/// exceed [`DistanceCache::MAX_RESIDENT_FIELDS`] no matter how many
-/// sources query.
-fn mega_query_storm(params: &HardwareParams) -> CacheStats {
-    let num_qubits = params.num_atoms;
-    let state = MappingState::identity(params, num_qubits).expect("fits");
-    let hood = Neighborhood::new(params.r_int);
-    let table = NeighborTable::build(state.lattice(), &hood);
-    let cache = DistanceCache::new();
-    let mut out = Vec::new();
-    for q in 0..num_qubits {
-        let start = state.site_of_qubit(Qubit(q));
-        // Nearby targets (±3 layout neighbors): the realistic shape of a
-        // routing query, whose BFS ball should stay within a handful of
-        // 8×8 regions out of the grid's 169.
-        let targets = [
-            state.site_of_qubit(Qubit((q + 1) % num_qubits)),
-            state.site_of_qubit(Qubit((q + 2) % num_qubits)),
-            state.site_of_qubit(Qubit((q + 3) % num_qubits)),
-        ];
-        cache.distances_at(&state, &table, start, &targets, &mut out);
-    }
-    cache.snapshot()
-}
-
-/// `(settled_full, settled_bounded)` BFS site counts on the identity
-/// layout of `params`: a full field from qubit 0's site vs. a query
-/// bounded to the sites of its three nearest qubit neighbors. The gap
-/// is the point of bounded BFS — the targeted query touches a frontier,
-/// not the occupied graph.
-fn settle_counts(params: &HardwareParams) -> (u64, u64) {
-    let num_qubits = params.num_atoms.min(64);
-    let state = MappingState::identity(params, num_qubits).expect("fits");
-    let hood = Neighborhood::new(params.r_int);
-    let table = NeighborTable::build(state.lattice(), &hood);
-    let start = state.site_of_qubit(Qubit(0));
-    let targets = [
-        state.site_of_qubit(Qubit(1)),
-        state.site_of_qubit(Qubit(2)),
-        state.site_of_qubit(Qubit(3)),
-    ];
-    let full_cache = DistanceCache::new();
-    full_cache.field(&state, &table, start);
-    let full = full_cache.sites_settled();
-    let bounded_cache = DistanceCache::new();
-    let mut out = Vec::new();
-    bounded_cache.distances_at(&state, &table, start, &targets, &mut out);
-    assert!(out.iter().all(|&d| d != u32::MAX), "targets reachable");
-    let bounded = bounded_cache.sites_settled();
-    (full, bounded)
-}
-
 /// Writes the machine-readable baseline consumed by future PRs and the
 /// CI bench-regression job.
 fn write_baseline() {
@@ -417,26 +352,26 @@ fn write_baseline() {
     let hood = Neighborhood::new(params.r_int);
     let table = NeighborTable::build(state.lattice(), &hood);
 
-    let cold = mean_secs(20, || query_cold(&mut state, &hood, &table, params.r_int));
+    let cold = mean_secs(20, || query_cold(&mut state, &table, params.r_int));
     let mut warm = RouteScratch::new();
-    query_pass(&mut state, &hood, &table, params.r_int, &mut warm);
+    query_pass(&mut state, &table, params.r_int, &mut warm);
     let cached = mean_secs(20, || {
-        query_pass(&mut state, &hood, &table, params.r_int, &mut warm)
+        query_pass(&mut state, &table, params.r_int, &mut warm)
     });
 
     // Cache hit rates over one query pass: a cold arena misses every
     // query, the warm arena should serve (nearly) everything.
     let cold_rate = {
         let mut fresh = RouteScratch::new();
-        query_pass(&mut state, &hood, &table, params.r_int, &mut fresh);
+        query_pass(&mut state, &table, params.r_int, &mut fresh);
         let (hits, misses) = fresh.distance_cache().stats();
         hits as f64 / (hits + misses).max(1) as f64
     };
     let warm_rate = {
         let mut arena = RouteScratch::new();
-        query_pass(&mut state, &hood, &table, params.r_int, &mut arena);
+        query_pass(&mut state, &table, params.r_int, &mut arena);
         let (h0, m0) = arena.distance_cache().stats();
-        query_pass(&mut state, &hood, &table, params.r_int, &mut arena);
+        query_pass(&mut state, &table, params.r_int, &mut arena);
         let (h1, m1) = arena.distance_cache().stats();
         // Only the second (warm) pass counts — the fill pass would
         // otherwise cap the reported rate at ~0.5.
@@ -455,8 +390,7 @@ fn write_baseline() {
         let refs: Vec<&FrontierGate> = front.iter().collect();
         let mut scratch = RouteScratch::new();
         let eval_pass = mean_secs(runs, || {
-            let mut ctx =
-                RoutingContext::new(&mut state, &hood, &table, params.r_int, &mut scratch);
+            let mut ctx = RoutingContext::new(&mut state, &table, params.r_int, &mut scratch);
             router.best_chains(&mut ctx, &refs, &[])
         });
         eval_pass * 1e6 / 16.0
@@ -487,10 +421,8 @@ fn write_baseline() {
     let map_qaoa80_15 = map_ms(&p15, &qaoa80(), 5);
     let map_qft64_30 = map_ms(&p30, &qft64(), 3);
     let candidate_eval_us_15 = eval_us(&p15, 200, 20);
-    let (settled_full_15, settled_bounded_15) = settle_counts(&p15);
-    let (settled_full_30, settled_bounded_30) = settle_counts(&p30);
 
-    // ---- mega tier (hierarchical coarse-to-fine routing) ------------
+    // ---- mega tier --------------------------------------------------
     let p100 = mega_mixed();
     let hybrid = || MapperConfig::try_hybrid(1.0).expect("valid alpha");
     let (map_qft128_100, _) = map_ms_with_cache(&p100, &qft128(), hybrid(), 2);
@@ -509,7 +441,6 @@ fn write_baseline() {
     // path.
     let (map_megarand_100, cache_megarand) =
         map_ms_with_cache(&p100, &mega_random(), MapperConfig::gate_only(), 2);
-    let storm = mega_query_storm(&p100);
 
     let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
@@ -536,16 +467,11 @@ fn write_baseline() {
          \"map_hybrid_qaoa80_15x15_ms\": {:.3},\n  \
          \"map_hybrid_qft64_30x30_ms\": {:.3},\n  \
          \"candidate_eval_us_15x15\": {:.3},\n  \
-         \"bfs_settled_full_15x15\": {},\n  \
-         \"bfs_settled_bounded_15x15\": {},\n  \
-         \"bfs_settled_full_30x30\": {},\n  \
-         \"bfs_settled_bounded_30x30\": {},\n  \
          \"map_hybrid_qft128_100x100_ms\": {:.3},\n  \
          \"map_hybrid_qft128_100x100_single_ms\": {:.3},\n  \
          \"map_hybrid_qaoa256_100x100_ms\": {:.3},\n  \
          \"map_gate_megarand_100x100_ms\": {:.3},\n  \
-         \"route_cache_megarand_100x100\": {},\n  \
-         \"route_cache_storm_100x100\": {}\n}}\n",
+         \"route_cache_megarand_100x100\": {}\n}}\n",
         cold * 1e6,
         cached * 1e6,
         cold / cached,
@@ -566,16 +492,11 @@ fn write_baseline() {
         map_qaoa80_15,
         map_qft64_30,
         candidate_eval_us_15,
-        settled_full_15,
-        settled_bounded_15,
-        settled_full_30,
-        settled_bounded_30,
         map_qft128_100,
         map_qft128_100_single,
         map_qaoa256_100,
         map_megarand_100,
         cache_stats_to_json(&cache_megarand),
-        cache_stats_to_json(&storm),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_routing.json");
     std::fs::write(path, &json).expect("write BENCH_routing.json");
@@ -588,39 +509,24 @@ fn write_baseline() {
         warm_rate > cold_rate,
         "warm arena must out-hit a cold one ({warm_rate:.3} vs {cold_rate:.3})"
     );
-    assert!(
-        settled_bounded_15 < settled_full_15 && settled_bounded_30 < settled_full_30,
-        "bounded BFS must settle less than a full field \
-         (15x15: {settled_bounded_15}/{settled_full_15}, \
-         30x30: {settled_bounded_30}/{settled_full_30})"
-    );
     // The mega tier's whole point: cache memory stays bounded by the
-    // LRU cap no matter how many distinct sources query on the 100×100
-    // lattice — in the real CCZ mapping run and under a 4500-source
-    // query storm — and the region corridor actually engages.
+    // LRU cap no matter how many distinct sources the real CCZ mapping
+    // run queries on the 100×100 lattice — it queries more than the cap
+    // holds, so the LRU must evict.
     let cap = DistanceCache::MAX_RESIDENT_FIELDS as u64;
     assert!(
         cache_megarand.misses > 0 && cache_megarand.peak_entries > 0,
         "mega CCZ mapping must route through the distance cache"
     );
     assert!(
-        cache_megarand.peak_entries <= cap && storm.peak_entries <= cap,
+        cache_megarand.peak_entries <= cap,
         "mega-tier peak resident fields must stay within the LRU cap \
-         (mapping {} / storm {} vs cap {cap})",
+         ({} vs cap {cap})",
         cache_megarand.peak_entries,
-        storm.peak_entries,
     );
     assert!(
-        storm.evictions > 0,
-        "a 4500-source storm must overflow the {cap}-entry cap"
-    );
-    assert!(
-        storm.corridor_queries > 0 && storm.regions_touched_per_query() < 8.0,
-        "corridor-armed local queries must stay region-local \
-         ({} queries, {:.2} regions/query out of {} regions)",
-        storm.corridor_queries,
-        storm.regions_touched_per_query(),
-        13 * 13,
+        cache_megarand.evictions > 0,
+        "the mega CCZ mapping run must overflow the {cap}-entry cap"
     );
     // Round-mode invariants: single mode commits exactly one candidate
     // per round; the speculative default must actually multi-commit on

@@ -16,72 +16,21 @@
 //!
 //! These are the raw primitives; routers normally consume them through
 //! the caching [`crate::route::RoutingContext`], which reuses BFS fields
-//! across every round that leaves trap occupancy unchanged.
-//!
-//! Two scaling mechanisms keep the primitives sub-linear in lattice
-//! size on paper-sized arrays:
-//!
-//! * **CSR adjacency** — [`bfs_occupied_table_into`] expands the
-//!   frontier through a precomputed [`NeighborTable`] (dense neighbor
-//!   slices) instead of recomputing `hood.around(s)` offset geometry and
-//!   bounds checks at every visit,
-//! * **target-bounded early exit** — [`bfs_occupied_bounded_into`]
-//!   stops as soon as every *requested* target site is settled (BFS
-//!   assigns final distances at enqueue time), so a query about a small
-//!   target set touches a frontier, not the lattice. The partially
-//!   computed field (plus its live frontier queue) remains resumable —
-//!   the [`crate::route::DistanceCache`] exploits exactly that to
-//!   upgrade bounded fields to full ones without repeating work.
+//! across every round that leaves trap occupancy unchanged. The cached
+//! fields are computed by [`bfs_occupied_table_into`], which expands the
+//! frontier through a precomputed CSR [`NeighborTable`] (dense neighbor
+//! slices) instead of recomputing `hood.around(s)` offset geometry and
+//! bounds checks at every visit.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use na_arch::{NeighborTable, Neighborhood, RegionGrid, Site};
+use na_arch::{NeighborTable, Neighborhood, Site};
 use na_circuit::Qubit;
 
 use crate::state::MappingState;
 
 /// Hop distance marker for unreachable sites.
 pub const UNREACHABLE: u32 = u32::MAX;
-
-/// Multi-source BFS over the coarse region adjacency graph of a
-/// [`RegionGrid`]: writes region-graph hop distances from the seed
-/// regions into `dist` (one entry per region, [`UNREACHABLE`] when no
-/// region path exists).
-///
-/// Because every fine edge projects onto a region self-loop or a region
-/// edge, the region distance between two sites' regions is an
-/// **admissible lower bound** on their fine BFS distance — over the
-/// full lattice and over any occupancy-restricted subgraph (occupancy
-/// only removes fine edges, which grows fine distances but never
-/// region distances). In particular, a region recorded `UNREACHABLE`
-/// here provably cannot lie on *any* fine path to a seed region's
-/// sites — the corridor-pruning criterion of the coarse-to-fine
-/// bounded BFS.
-pub fn region_bfs_into(
-    grid: &RegionGrid,
-    seeds: &[u32],
-    dist: &mut Vec<u32>,
-    queue: &mut VecDeque<u32>,
-) {
-    dist.clear();
-    dist.resize(grid.num_regions(), UNREACHABLE);
-    queue.clear();
-    for &r in seeds {
-        if dist[r as usize] != 0 {
-            dist[r as usize] = 0;
-            queue.push_back(r);
-        }
-    }
-    while let Some(r) = queue.pop_front() {
-        let d = dist[r as usize];
-        for &n in grid.neighbors(r) {
-            if dist[n as usize] == UNREACHABLE {
-                dist[n as usize] = d + 1;
-                queue.push_back(n);
-            }
-        }
-    }
-}
 
 /// BFS hop distances from `starts` through occupied sites, where two
 /// occupied sites are adjacent when within the neighborhood radius.
@@ -162,84 +111,6 @@ pub fn bfs_occupied_table_into(
             settled += 1;
         }
     }
-    settled + bfs_drain_resume(state, table, dist, queue, &[])
-}
-
-/// Target-bounded early-exit BFS over the CSR table: identical to
-/// [`bfs_occupied_table_into`] on the *requested* target sites, but the
-/// search stops as soon as every target is settled (assigned its final
-/// hop distance — BFS settles a site the moment it is enqueued).
-/// Unreached targets force the search to exhaustion, so `UNREACHABLE`
-/// answers are exact too.
-///
-/// On return, `dist` holds final distances for every settled site and
-/// `queue` holds the still-live frontier — the pair is resumable: the
-/// internal drain continues the same BFS without repeating work (the
-/// [`crate::route::DistanceCache`] upgrades bounded fields to full
-/// ones exactly this way). Returns the number of sites settled, the
-/// bench-visible measure of how much of the lattice the query touched.
-pub fn bfs_occupied_bounded_into(
-    state: &MappingState,
-    starts: &[Site],
-    table: &NeighborTable,
-    targets: &[Site],
-    dist: &mut Vec<u32>,
-    queue: &mut VecDeque<u32>,
-) -> usize {
-    let lattice = state.lattice();
-    dist.clear();
-    dist.resize(lattice.num_sites(), UNREACHABLE);
-    queue.clear();
-    let mut settled = 0usize;
-    for &s in starts {
-        debug_assert!(!state.is_free(s), "BFS start {s} must be occupied");
-        let idx = lattice.index(s);
-        if dist[idx] != 0 {
-            dist[idx] = 0;
-            queue.push_back(idx as u32);
-            settled += 1;
-        }
-    }
-    settled + bfs_drain_resume(state, table, dist, queue, targets)
-}
-
-/// Continues a (possibly partial) BFS: drains `queue` until every site
-/// of `targets` is settled in `dist`, or — with an empty target list —
-/// until the frontier is exhausted (a full field). Returns the number of
-/// sites newly settled by this drain.
-///
-/// `dist`/`queue` must come from a previous
-/// [`bfs_occupied_table_into`]/[`bfs_occupied_bounded_into`] run (or
-/// drain) against the same state and table.
-pub(crate) fn bfs_drain_resume(
-    state: &MappingState,
-    table: &NeighborTable,
-    dist: &mut [u32],
-    queue: &mut VecDeque<u32>,
-    targets: &[Site],
-) -> usize {
-    let lattice = state.lattice();
-    let bounded = !targets.is_empty();
-    // Pending distinct targets not yet settled; duplicates counted once
-    // (target sets are tiny — gate operands or a hood — so the
-    // quadratic dedup is noise).
-    let mut pending = 0usize;
-    if bounded {
-        for (i, &t) in targets.iter().enumerate() {
-            let idx = lattice.index(t);
-            if dist[idx] != UNREACHABLE {
-                continue;
-            }
-            if targets[..i].iter().any(|&u| lattice.index(u) == idx) {
-                continue;
-            }
-            pending += 1;
-        }
-        if pending == 0 {
-            return 0;
-        }
-    }
-    let mut settled = 0usize;
     while let Some(idx) = queue.pop_front() {
         let d = dist[idx as usize];
         for &n in table.neighbors(idx as usize) {
@@ -250,120 +121,9 @@ pub(crate) fn bfs_drain_resume(
             dist[n] = d + 1;
             queue.push_back(n as u32);
             settled += 1;
-            if bounded && targets.contains(&lattice.site(n)) {
-                pending -= 1;
-                if pending == 0 {
-                    // Early exit mid-slice: re-queue the node at the
-                    // *front* (it still carries the smallest depth) so a
-                    // later resume re-expands its remaining neighbors —
-                    // already-settled ones are skipped, nothing is lost.
-                    queue.push_front(idx);
-                    return settled;
-                }
-            }
         }
     }
     settled
-}
-
-/// Corridor mask of one coarse-to-fine bounded query: the region grid
-/// plus the region-BFS distance field seeded at the *pending target*
-/// regions ([`region_bfs_into`]). A fine site whose region reads
-/// [`UNREACHABLE`] here cannot lie on any fine path to a pending
-/// target (see the admissibility note on [`region_bfs_into`]), so the
-/// sparse drain skips it — pruning that is exact by construction.
-pub(crate) struct CorridorMask<'a> {
-    /// The coarse clustering of the fine table in use.
-    pub grid: &'a RegionGrid,
-    /// Region-graph distances from the pending targets' regions.
-    pub to_targets: &'a [u32],
-}
-
-/// Outcome of one [`bfs_drain_resume_sparse`] drain.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct SparseDrain {
-    /// Sites newly settled by this drain.
-    pub settled: usize,
-    /// Distinct regions entered by newly settled sites.
-    pub regions_touched: u32,
-    /// Whether the corridor mask skipped at least one site. A pruned
-    /// field must not be parked for resume under *different* targets —
-    /// the skipped sites are only provably irrelevant to this query's
-    /// pending targets.
-    pub pruned: bool,
-}
-
-/// The sparse, corridor-pruned sibling of [`bfs_drain_resume`]: the
-/// settled-distance map is a `HashMap` keyed by dense site index
-/// instead of a dense `num_sites` vector, so a bounded query that
-/// settles a handful of frontier sites costs memory (and clearing)
-/// proportional to what it touched — not an `O(num_sites)` memset per
-/// query. Identical BFS semantics: first enqueue settles a site at its
-/// final hop distance, early exit re-queues the interrupted node at the
-/// queue front, unreached targets force exhaustion (of the corridor).
-///
-/// `region_seen` is a per-region stamp buffer (stamp `qstamp` marks
-/// "seen this query") used to count `regions_touched` without clearing
-/// anything between queries.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn bfs_drain_resume_sparse(
-    state: &MappingState,
-    table: &NeighborTable,
-    dist: &mut HashMap<u32, u32>,
-    queue: &mut VecDeque<u32>,
-    targets: &[Site],
-    corridor: &CorridorMask<'_>,
-    region_seen: &mut [u64],
-    qstamp: u64,
-) -> SparseDrain {
-    let lattice = state.lattice();
-    let bounded = !targets.is_empty();
-    let mut out = SparseDrain::default();
-    let mut pending = 0usize;
-    if bounded {
-        for (i, &t) in targets.iter().enumerate() {
-            let idx = lattice.index(t) as u32;
-            if dist.contains_key(&idx) {
-                continue;
-            }
-            if targets[..i].iter().any(|&u| lattice.index(u) as u32 == idx) {
-                continue;
-            }
-            pending += 1;
-        }
-        if pending == 0 {
-            return out;
-        }
-    }
-    while let Some(idx) = queue.pop_front() {
-        let d = dist[&idx];
-        for &n in table.neighbors(idx as usize) {
-            let nu = n as usize;
-            if state.atom_at_site_index(nu).is_none() || dist.contains_key(&n) {
-                continue;
-            }
-            let region = corridor.grid.region_of(nu) as usize;
-            if corridor.to_targets[region] == UNREACHABLE {
-                out.pruned = true;
-                continue;
-            }
-            dist.insert(n, d + 1);
-            if region_seen[region] != qstamp {
-                region_seen[region] = qstamp;
-                out.regions_touched += 1;
-            }
-            queue.push_back(n);
-            out.settled += 1;
-            if bounded && targets.contains(&lattice.site(nu)) {
-                pending -= 1;
-                if pending == 0 {
-                    queue.push_front(idx);
-                    return out;
-                }
-            }
-        }
-    }
-    out
 }
 
 /// Fractional SWAP-distance estimate between two sites: how many SWAP

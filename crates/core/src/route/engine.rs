@@ -158,7 +158,7 @@ impl RoutingEngine {
         scratch: &'a mut RouteScratch,
     ) -> RoutingContext<'a> {
         self.ensure_table(state);
-        RoutingContext::new(state, &self.hood_int, &self.table_int, self.r_int, scratch)
+        RoutingContext::new(state, &self.table_int, self.r_int, scratch)
     }
 
     /// The capability gates fall back to when their assigned router
@@ -196,8 +196,7 @@ impl RoutingEngine {
         let mut report = StepReport::default();
         self.ensure_table(state);
         let (winner, tier) = {
-            let mut ctx =
-                RoutingContext::new(state, &self.hood_int, &self.table_int, self.r_int, scratch);
+            let mut ctx = RoutingContext::new(state, &self.table_int, self.r_int, scratch);
             Self::best_candidate(&self.routers, &mut ctx, frontier, lookahead, &mut report)?
         };
         self.apply(&winner, tier, state, out, &mut report);
@@ -221,8 +220,6 @@ impl RoutingEngine {
     /// than [`RoutingEngine::step`] at making progress or reporting a
     /// stuck gate. The best evaluated candidate always commits
     /// regardless of eligibility (progress guarantee).
-    /// `eval_threads > 1` mints conflict sets on scoped worker threads
-    /// over cloned states; results are identical for any thread count.
     ///
     /// Committed candidates have pairwise-disjoint conflict sets
     /// (touched atoms + claimed/freed sites), so an earlier commit can
@@ -232,14 +229,12 @@ impl RoutingEngine {
     ///
     /// Returns `Err(op_index)` of the first unroutable gate when no
     /// router produced a candidate.
-    #[allow(clippy::too_many_arguments)]
     pub fn step_speculative(
         &mut self,
         state: &mut MappingState,
         frontier: &[FrontierGate],
         lookahead: &[FrontierGate],
         eligible: &[usize],
-        eval_threads: usize,
         scratch: &mut RouteScratch,
         out: &mut dyn OpSink,
     ) -> Result<StepReport, usize> {
@@ -264,8 +259,7 @@ impl RoutingEngine {
             .collect();
         let mut tier = None;
         if !restricted.is_empty() {
-            let mut ctx =
-                RoutingContext::new(state, &self.hood_int, &self.table_int, self.r_int, scratch);
+            let mut ctx = RoutingContext::new(state, &self.table_int, self.r_int, scratch);
             match Self::collect_tier_candidates(
                 &self.routers,
                 &mut ctx,
@@ -288,13 +282,7 @@ impl RoutingEngine {
             None => {
                 cands.clear();
                 let full: Vec<&FrontierGate> = frontier.iter().collect();
-                let mut ctx = RoutingContext::new(
-                    state,
-                    &self.hood_int,
-                    &self.table_int,
-                    self.r_int,
-                    scratch,
-                );
+                let mut ctx = RoutingContext::new(state, &self.table_int, self.r_int, scratch);
                 match Self::collect_tier_candidates(
                     &self.routers,
                     &mut ctx,
@@ -321,59 +309,15 @@ impl RoutingEngine {
         atoms.clear();
         sites.clear();
         ranges.clear();
-        let threads = eval_threads.max(1).min(cands.len().max(1));
-        if threads > 1 {
-            // Scoped workers over deterministic contiguous chunks, each
-            // owning a cloned state (fresh stamp — workers never touch
-            // the distance cache) and its own journal; merging in
-            // candidate order makes results thread-count independent
-            // because minting is a pure function of (pre-round state,
-            // candidate).
-            let chunk = cands.len().div_ceil(threads);
-            let state_ref: &MappingState = state;
-            // (touched atoms, touched sites, per-candidate [a0,a1,s0,s1])
-            type MintedChunk = (Vec<u32>, Vec<u32>, Vec<[u32; 4]>);
-            let parts: Vec<MintedChunk> = std::thread::scope(|scope| {
-                let handles: Vec<_> = cands
-                    .chunks(chunk)
-                    .map(|chunk_cands| {
-                        scope.spawn(move || {
-                            let mut local = state_ref.clone();
-                            let mut journal = crate::state::StateJournal::new();
-                            let (mut a, mut s, mut r) = (Vec::new(), Vec::new(), Vec::new());
-                            for cand in chunk_cands {
-                                let (a0, s0) = (a.len() as u32, s.len() as u32);
-                                mint_conflict_set(&mut local, &mut journal, cand, &mut a, &mut s);
-                                r.push([a0, a.len() as u32, s0, s.len() as u32]);
-                            }
-                            (a, s, r)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("minting worker panicked"))
-                    .collect()
-            });
-            for (a, s, r) in parts {
-                let (ab, sb) = (atoms.len() as u32, sites.len() as u32);
-                for [a0, a1, s0, s1] in r {
-                    ranges.push([a0 + ab, a1 + ab, s0 + sb, s1 + sb]);
-                }
-                atoms.extend_from_slice(&a);
-                sites.extend_from_slice(&s);
-            }
-        } else {
-            for cand in &cands {
-                let (a0, s0) = (atoms.len() as u32, sites.len() as u32);
-                mint_conflict_set(state, &mut scratch.journal, cand, &mut atoms, &mut sites);
-                ranges.push([a0, atoms.len() as u32, s0, sites.len() as u32]);
-            }
-            debug_assert!(
-                scratch.journal.is_empty(),
-                "conflict minting must roll back"
-            );
+        for cand in &cands {
+            let (a0, s0) = (atoms.len() as u32, sites.len() as u32);
+            mint_conflict_set(state, &mut scratch.journal, cand, &mut atoms, &mut sites);
+            ranges.push([a0, atoms.len() as u32, s0, sites.len() as u32]);
         }
+        debug_assert!(
+            scratch.journal.is_empty(),
+            "conflict minting must roll back"
+        );
 
         // Phase 3 — deterministic greedy commit: rank by (cost, proposal
         // order), commit every candidate whose conflict set is disjoint
@@ -799,15 +743,7 @@ mod tests {
         let mut scratch = RouteScratch::new();
         let mut out = MappedCircuit::new(40, 40);
         let report = engine
-            .step_speculative(
-                &mut state,
-                &frontier,
-                &[],
-                &[0, 1],
-                1,
-                &mut scratch,
-                &mut out,
-            )
+            .step_speculative(&mut state, &frontier, &[], &[0, 1], &mut scratch, &mut out)
             .unwrap();
         assert_eq!(report.commits, 2, "both disjoint gates must commit");
         assert_eq!(report.swaps, out.swap_count());
@@ -825,49 +761,10 @@ mod tests {
         let mut scratch = RouteScratch::new();
         let mut out = MappedCircuit::new(24, 24);
         let report = engine
-            .step_speculative(&mut state, &frontier, &[], &[], 1, &mut scratch, &mut out)
+            .step_speculative(&mut state, &frontier, &[], &[], &mut scratch, &mut out)
             .unwrap();
         assert_eq!(report.commits, 1);
         assert_eq!(report.swaps, 1);
-    }
-
-    #[test]
-    fn speculative_round_is_thread_count_independent() {
-        let p = params(8, 40, 1.0);
-        let frontier = [
-            gate(0, &[0, 18], Capability::GateBased),
-            gate(1, &[5, 30], Capability::GateBased),
-            gate(2, &[9, 33], Capability::GateBased),
-        ];
-        let run = |threads: usize| {
-            let mut state = MappingState::identity(&p, 40).expect("fits");
-            let mut engine = RoutingEngine::from_config(&p, &MapperConfig::gate_only());
-            let mut scratch = RouteScratch::new();
-            let mut out = MappedCircuit::new(40, 40);
-            let report = engine
-                .step_speculative(
-                    &mut state,
-                    &frontier,
-                    &[],
-                    &[0, 1, 2],
-                    threads,
-                    &mut scratch,
-                    &mut out,
-                )
-                .unwrap();
-            (
-                format!("{:?}", out.iter().collect::<Vec<_>>()),
-                report.commits,
-                state,
-            )
-        };
-        let (ops1, commits1, state1) = run(1);
-        for threads in [2, 4] {
-            let (ops, commits, state) = run(threads);
-            assert_eq!(ops, ops1, "{threads} threads diverged");
-            assert_eq!(commits, commits1);
-            assert_eq!(state, state1);
-        }
     }
 
     #[test]
@@ -879,7 +776,7 @@ mod tests {
         let mut scratch = RouteScratch::new();
         let mut out = MappedCircuit::new(4, 4);
         let err = engine
-            .step_speculative(&mut state, &frontier, &[], &[9], 1, &mut scratch, &mut out)
+            .step_speculative(&mut state, &frontier, &[], &[9], &mut scratch, &mut out)
             .unwrap_err();
         assert_eq!(err, 9);
     }

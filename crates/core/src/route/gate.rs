@@ -868,7 +868,6 @@ mod tests {
 
     struct Fixture {
         state: MappingState,
-        hood: Neighborhood,
         table: na_arch::NeighborTable,
         r_int: f64,
         scratch: RouteScratch,
@@ -881,7 +880,6 @@ mod tests {
             let table = na_arch::NeighborTable::build(state.lattice(), &hood);
             Fixture {
                 state,
-                hood,
                 table,
                 r_int: p.r_int,
                 scratch: RouteScratch::new(),
@@ -889,13 +887,7 @@ mod tests {
         }
 
         fn ctx(&mut self) -> RoutingContext<'_> {
-            RoutingContext::new(
-                &mut self.state,
-                &self.hood,
-                &self.table,
-                self.r_int,
-                &mut self.scratch,
-            )
+            RoutingContext::new(&mut self.state, &self.table, self.r_int, &mut self.scratch)
         }
     }
 

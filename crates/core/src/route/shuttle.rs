@@ -654,7 +654,6 @@ mod tests {
 
     struct Fixture {
         state: MappingState,
-        hood: Neighborhood,
         table: na_arch::NeighborTable,
         r_int: f64,
         scratch: RouteScratch,
@@ -667,7 +666,6 @@ mod tests {
             let table = na_arch::NeighborTable::build(state.lattice(), &hood);
             Fixture {
                 state,
-                hood,
                 table,
                 r_int: p.r_int,
                 scratch: RouteScratch::new(),
@@ -675,13 +673,7 @@ mod tests {
         }
 
         fn ctx(&mut self) -> RoutingContext<'_> {
-            RoutingContext::new(
-                &mut self.state,
-                &self.hood,
-                &self.table,
-                self.r_int,
-                &mut self.scratch,
-            )
+            RoutingContext::new(&mut self.state, &self.table, self.r_int, &mut self.scratch)
         }
     }
 
@@ -921,8 +913,7 @@ mod tests {
         let live = router.best_chains(&mut fx.ctx(), &front, &[]);
         let mut clone = fx.state.clone();
         let mut cold = RouteScratch::new();
-        let mut clone_ctx =
-            RoutingContext::new(&mut clone, &fx.hood, &fx.table, fx.r_int, &mut cold);
+        let mut clone_ctx = RoutingContext::new(&mut clone, &fx.table, fx.r_int, &mut cold);
         let from_clone = router.best_chains(&mut clone_ctx, &front, &[]);
         assert_eq!(live, from_clone);
     }

@@ -117,7 +117,7 @@ proptest! {
             let mut scratch = RouteScratch::new();
             let mut out = MappedCircuit::new(40, 40);
             let report = engine
-                .step_speculative(&mut state, &frontier, &[], &eligible, 1, &mut scratch, &mut out)
+                .step_speculative(&mut state, &frontier, &[], &eligible, &mut scratch, &mut out)
                 .expect("identity layout is never stuck");
             prop_assert!(report.commits >= 1);
 
@@ -192,7 +192,7 @@ impl<R: Router> Router for CloneCheck<R> {
         let mut cold = RouteScratch::new();
         let hood = Neighborhood::new(self.r_int);
         let table = na_arch::NeighborTable::build(clone.lattice(), &hood);
-        let mut ctx2 = RoutingContext::new(&mut clone, &hood, &table, self.r_int, &mut cold);
+        let mut ctx2 = RoutingContext::new(&mut clone, &table, self.r_int, &mut cold);
         let reference = self.inner.propose(&mut ctx2, frontier, lookahead, fallback);
 
         assert_eq!(

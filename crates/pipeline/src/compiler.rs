@@ -11,11 +11,9 @@
 //!     .compile(&circuit)?            // -> Result<CompiledProgram, CompileError>
 //! ```
 //!
-//! All construction-time panics of the legacy API (`assert!` on a
-//! non-finite α, layout placement aborting on an undersized lattice)
-//! become typed [`CompileError`] cases here; the deprecated
-//! [`Pipeline::new`](crate::Pipeline::new) shim delegates to this
-//! builder.
+//! Invalid options (a non-finite α, an undersized lattice) surface as
+//! typed [`CompileError`] cases from `build()` instead of panicking at
+//! construction.
 
 use std::time::{Duration, Instant};
 
@@ -43,7 +41,6 @@ pub struct MappingOptions {
     pub(crate) mode: MappingMode,
     pub(crate) initial_layout: Option<InitialLayout>,
     pub(crate) round_mode: Option<RoundMode>,
-    pub(crate) eval_threads: Option<usize>,
 }
 
 /// The capability mode of a mapping session.
@@ -71,7 +68,6 @@ impl MappingOptions {
             mode: MappingMode::Hybrid { alpha_ratio },
             initial_layout: None,
             round_mode: None,
-            eval_threads: None,
         }
     }
 
@@ -81,7 +77,6 @@ impl MappingOptions {
             mode: MappingMode::GateOnly,
             initial_layout: None,
             round_mode: None,
-            eval_threads: None,
         }
     }
 
@@ -91,7 +86,6 @@ impl MappingOptions {
             mode: MappingMode::ShuttleOnly,
             initial_layout: None,
             round_mode: None,
-            eval_threads: None,
         }
     }
 
@@ -101,7 +95,6 @@ impl MappingOptions {
             mode: MappingMode::Custom(config),
             initial_layout: None,
             round_mode: None,
-            eval_threads: None,
         }
     }
 
@@ -115,13 +108,6 @@ impl MappingOptions {
     /// rounds, see [`RoundMode`]).
     pub fn with_round_mode(mut self, mode: RoundMode) -> Self {
         self.round_mode = Some(mode);
-        self
-    }
-
-    /// Overrides the speculative evaluation thread count (`1` =
-    /// evaluate on the caller thread; validated at build time).
-    pub fn with_eval_threads(mut self, threads: usize) -> Self {
-        self.eval_threads = Some(threads);
         self
     }
 
@@ -141,10 +127,6 @@ impl MappingOptions {
         }
         if let Some(mode) = self.round_mode {
             config.round_mode = mode;
-        }
-        if let Some(threads) = self.eval_threads {
-            config = config.with_eval_threads(threads);
-            config.validate()?;
         }
         Ok(config)
     }
@@ -805,6 +787,65 @@ mod tests {
         assert_eq!(plain.metrics, watched.metrics);
         assert_eq!(plain.aod_programs, watched.aod_programs);
         assert_eq!(plain.comparison, watched.comparison);
+    }
+
+    #[test]
+    fn compile_produces_consistent_artifact() {
+        let p = small(HardwareParams::mixed(), 6, 25);
+        let compiler = Compiler::for_target(&p).build().unwrap();
+        let c = GraphState::new(18).edges(26).seed(3).build();
+        let program = compiler.compile(&c).unwrap();
+
+        // The mapped stream verifies against the physics model.
+        na_mapper::verify_mapping(&c, &program.mapped, &p).unwrap();
+        // Fused schedule identical to re-walking the retained stream.
+        let two_pass = Scheduler::new(p.clone()).schedule_mapped(&program.mapped);
+        assert_eq!(program.schedule, two_pass);
+        // Metrics bit-identical to the post-hoc computation.
+        assert_eq!(program.metrics, ScheduleMetrics::of(&program.schedule, &p));
+        // One validated AOD program per scheduled batch.
+        assert_eq!(program.aod_programs.len(), program.schedule.batch_count());
+        assert_eq!(program.stats.aod_batches, program.aod_programs.len());
+        assert_eq!(program.stats.aod_moves, program.schedule.move_count());
+        // Baseline comparison present by default.
+        assert!(program.comparison.is_some());
+        assert!(program.delta_f().unwrap() >= -1e-9);
+    }
+
+    #[test]
+    fn baseline_can_be_disabled() {
+        let p = small(HardwareParams::mixed(), 5, 12);
+        let compiler = Compiler::for_target(&p).baseline(false).build().unwrap();
+        assert!(!compiler.baseline_enabled());
+        let program = compiler.compile(&Qft::new(8).build()).unwrap();
+        assert!(program.comparison.is_none());
+        assert!(program.delta_f().is_none());
+    }
+
+    #[test]
+    fn json_document_is_one_object() {
+        let p = small(HardwareParams::shuttling(), 6, 20);
+        let compiler = Compiler::for_target(&p)
+            .mapping(MappingOptions::shuttle_only())
+            .build()
+            .unwrap();
+        let program = compiler.compile(&Qft::new(10).build()).unwrap();
+        let json = program.to_json();
+        assert!(json.trim_start().starts_with('{'));
+        assert!(json.trim_end().ends_with('}'));
+        for key in [
+            "\"stats\"",
+            "\"metrics\"",
+            "\"comparison\"",
+            "\"mapped\"",
+            "\"schedule\"",
+            "\"aod_programs\"",
+        ] {
+            assert!(json.contains(key), "missing {key}");
+        }
+        // Shuttle-only mapping must have lowered at least one program.
+        assert!(!program.aod_programs.is_empty());
+        assert!(json.contains("\"op\":\"translate\""));
     }
 
     #[test]

@@ -113,24 +113,20 @@ pub(crate) fn target_parts_fingerprint(
     fnv1a(target_parts_to_json(params, lattice, aod, gates).as_bytes())
 }
 
-/// Content hash of the mapping options (mode, α, layout override,
-/// round-mode and eval-thread overrides), via their canonical JSON.
+/// Content hash of the mapping options (mode, α, layout override and
+/// round-mode override), via their canonical JSON.
 pub fn mapping_fingerprint(options: &MappingOptions) -> u64 {
     let mut h = Fnv1a::new();
     h.write_str(&crate::job::mapping_to_json(options));
-    // Round-mode/eval-thread overrides are not part of the v1 wire
-    // schema but do change the compiled artifact stream — fold them in
-    // so programmatic sessions key correctly too.
+    // The round-mode override is not part of the v1 wire schema but
+    // does change the compiled artifact stream — fold it in so
+    // programmatic sessions key correctly too.
     match options.round_mode {
         None => h.write_u64(0),
         Some(na_mapper::RoundMode::Single) => h.write_u64(1),
         Some(na_mapper::RoundMode::Speculative) => h.write_u64(2),
         #[allow(unreachable_patterns)]
         Some(_) => h.write_u64(u64::MAX),
-    };
-    match options.eval_threads {
-        None => h.write_u64(0),
-        Some(t) => h.write_u64(1).write_u64(t as u64),
     };
     h.finish()
 }
@@ -291,12 +287,12 @@ mod tests {
     fn pinned_fingerprints_do_not_drift() {
         let req = bell_request();
         assert_eq!(target_fingerprint(&req.target), 0xba29_8300_9cb3_7a69);
-        assert_eq!(mapping_fingerprint(&req.mapping), 0xdb04_7e05_2fd8_893e);
+        assert_eq!(mapping_fingerprint(&req.mapping), 0xc2d5_9d84_ef42_6d7e);
         assert_eq!(
             session_fingerprint(&req.target, &req.mapping, &req.scheduling, req.baseline),
-            0x30d2_4322_e324_1e14
+            0x315e_6718_8c54_5414
         );
-        assert_eq!(request_cache_key(&req), 0x8f64_acc6_5167_f98d);
+        assert_eq!(request_cache_key(&req), 0x0999_dd52_a57a_8a13);
         assert_eq!(
             circuit_fingerprint(&Qft::new(4).build()),
             0x7491_dad0_b99a_c533

@@ -33,9 +33,9 @@ pub struct CompileStats {
     pub aod_batches: usize,
     /// Individual shuttle moves across all transactions.
     pub aod_moves: usize,
-    /// Distance-cache and region/corridor counters of the routing
-    /// layer. Counters are cumulative over the compile scratch's
-    /// lifetime: with [`Compiler::compile`](crate::Compiler::compile)
+    /// Distance-cache counters of the routing layer. Counters are
+    /// cumulative over the compile scratch's lifetime: with
+    /// [`Compiler::compile`](crate::Compiler::compile)
     /// that is exactly this circuit, while a warm
     /// [`Compiler::compile_with`](crate::Compiler::compile_with) loop
     /// accumulates across the circuits sharing the scratch.
@@ -46,7 +46,7 @@ pub struct CompileStats {
 /// ASAP-schedule under restriction constraints, AOD lowering, Eq. (1)
 /// metrics) as a single artifact.
 ///
-/// Produced by [`Pipeline::compile`](crate::Pipeline::compile); the
+/// Produced by [`Compiler::compile`](crate::Compiler::compile); the
 /// fused pass guarantees `schedule` is exactly what
 /// [`na_schedule::Scheduler::schedule_mapped`] would produce for
 /// `mapped`, and every program in `aod_programs` has passed

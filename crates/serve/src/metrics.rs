@@ -178,9 +178,6 @@ impl ServiceMetrics {
         agg.sites_settled += after.sites_settled - before.sites_settled;
         agg.evictions += after.evictions - before.evictions;
         agg.peak_entries = agg.peak_entries.max(after.peak_entries);
-        agg.corridor_queries += after.corridor_queries - before.corridor_queries;
-        agg.corridor_pruned += after.corridor_pruned - before.corridor_pruned;
-        agg.regions_touched += after.regions_touched - before.regions_touched;
     }
 
     /// The service-wide router distance-cache aggregate.

@@ -1,7 +1,7 @@
 //! Mega-scale compilation: QFT-128 on a 100×100 lattice hosting 4500
 //! atoms — an order of magnitude past the paper's evaluation machine,
-//! the scale the hierarchical coarse-to-fine routing layer (region
-//! grid, corridor-bounded BFS, LRU-capped distance cache) targets.
+//! the scale the large-lattice routing paths (region-ring scans,
+//! LRU-capped distance cache) target.
 //! Prints the mapping statistics, Eq. (1) schedule metrics and the
 //! routing-cache counters of the compile.
 //!
