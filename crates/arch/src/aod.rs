@@ -67,13 +67,6 @@ impl Move {
     pub fn is_trivial(&self) -> bool {
         self.from == self.to
     }
-
-    /// Duration of this move as a standalone AOD transaction
-    /// (activate + translate + deactivate), in µs.
-    #[inline]
-    pub fn standalone_time_us(&self, params: &HardwareParams) -> f64 {
-        params.shuttle_time_us(self.rectilinear_distance())
-    }
 }
 
 impl fmt::Display for Move {
@@ -101,14 +94,6 @@ pub fn moves_fully_parallel(a: &Move, b: &Move) -> bool {
         && a.to != b.to
         && axis_compatible(a.from.x, a.to.x, b.from.x, b.to.x)
         && axis_compatible(a.from.y, a.to.y, b.from.y, b.to.y)
-}
-
-/// Returns `true` if two moves can execute in one AOD transaction *and*
-/// do not hand a trap site over to each other (a move filling a site the
-/// other vacates needs strict sequencing even though the AOD grid could
-/// carry both).
-pub fn moves_batchable(a: &Move, b: &Move) -> bool {
-    moves_fully_parallel(a, b) && a.to != b.from && a.from != b.to
 }
 
 /// Returns `true` if two moves can at least share the loading phase (the

@@ -308,17 +308,6 @@ impl ZonedTarget {
         Ok(target)
     }
 
-    /// The default zoning: bands of two trap rows separated by one lane
-    /// (interaction partners above/below within the band, a free lane
-    /// for AOD transit between bands).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ZonedTarget::new`].
-    pub fn default_zoning(params: HardwareParams) -> Result<Self, ArchError> {
-        ZonedTarget::new(params, 2, 1)
-    }
-
     /// Trap rows per band.
     pub fn zone_rows(&self) -> u32 {
         self.zone_rows

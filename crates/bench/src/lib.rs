@@ -1,9 +1,10 @@
 //! Shared harness for the Table 1 reproduction and ablation studies.
 //!
-//! The binaries (`table1`, `ablation`) and the Criterion benches build on
-//! the helpers here: scaled versions of the paper's hardware presets and
-//! benchmark suite, single-experiment execution, the α sweep of the
-//! hybrid mode, and plain-text table rendering.
+//! The binaries (`table1`, `ablation`) and the workspace's
+//! `tests/hybrid_quality.rs` build on the helpers here: scaled versions
+//! of the paper's hardware presets and benchmark suite, single-experiment
+//! execution, the α sweep of the hybrid mode, and plain-text table
+//! rendering. Speed is measured by `perfbench/` at the repository root.
 
 use std::time::Duration;
 

@@ -194,11 +194,6 @@ impl LayerTracker {
         self.num_executed
     }
 
-    /// Returns `true` if op `i` has been executed.
-    pub fn is_executed(&self, i: usize) -> bool {
-        self.executed[i]
-    }
-
     /// Marks frontier op `i` as executed and promotes newly-ready
     /// successors into the frontier. Returns the newly-ready ops.
     ///

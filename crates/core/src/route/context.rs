@@ -65,8 +65,7 @@ pub struct DistanceCache {
     misses: u64,
     /// Total sites settled by BFS work through this cache.
     settled: u64,
-    /// Peak `by_start.len()` ever observed — the memory-bound metric
-    /// guarded by the bench tier.
+    /// Peak `by_start.len()` ever observed — the memory-bound metric.
     peak_entries: u64,
     /// Entries evicted by the LRU cap.
     evictions: u64,
@@ -81,7 +80,7 @@ struct FieldEntry {
 }
 
 /// Point-in-time snapshot of every [`DistanceCache`] counter — the
-/// single struct the bench tier and the job layer serialize (see
+/// single struct the job layer serializes (see
 /// `na-schedule`'s export module), so new counters only have to be
 /// added in one place.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -107,7 +106,9 @@ impl DistanceCache {
     /// how many distinct sources a mega-scale circuit queries —
     /// ~10 MiB on a 100×100 lattice instead of one dense field per
     /// atom. Peak residency is observable via
-    /// [`DistanceCache::snapshot`] and guarded by the bench tier.
+    /// [`DistanceCache::snapshot`]; the cap and the LRU order are pinned
+    /// by the `resident_fields_are_capped_least_recently_used_first`
+    /// test.
     pub const MAX_RESIDENT_FIELDS: usize = 256;
 
     /// An empty cache.
@@ -444,6 +445,46 @@ mod tests {
         // Clones diverge independently, so they get fresh stamps too.
         let clone = state_a.clone();
         assert_ne!(state_a.occupancy_stamp(), clone.occupancy_stamp());
+    }
+
+    /// The [`DistanceCache::MAX_RESIDENT_FIELDS`] cap on a lattice with
+    /// more sites than the cap: residency stops at the cap, and the
+    /// entry evicted is the least recently *used*, not the oldest.
+    #[test]
+    fn resident_fields_are_capped_least_recently_used_first() {
+        let params = HardwareParams::mixed()
+            .to_builder()
+            .lattice(20, 3.0)
+            .num_atoms(300)
+            .build()
+            .expect("valid");
+        // Identity layout: atoms fill the first 300 sites, so each of
+        // them is an occupied BFS start.
+        let state = MappingState::identity(&params, 300).expect("fits");
+        let table = NeighborTable::build(state.lattice(), &Neighborhood::new(params.r_int));
+        let cap = DistanceCache::MAX_RESIDENT_FIELDS;
+        let starts: Vec<Site> = (0..300).map(|i| state.lattice().site(i)).collect();
+        let mut cache = DistanceCache::new();
+        for &start in &starts[..cap] {
+            cache.field(&state, &table, start);
+        }
+        // Touch the oldest entry, then overflow the cap by 44 starts.
+        cache.field(&state, &table, starts[0]);
+        for &start in &starts[cap..] {
+            cache.field(&state, &table, start);
+        }
+        let stats = cache.snapshot();
+        assert_eq!(cache.len(), cap);
+        assert_eq!((stats.hits, stats.misses), (1, 300));
+        assert_eq!(stats.evictions, 44);
+        assert_eq!(stats.peak_entries, cap as u64);
+        // The touched start stayed resident; FIFO would have evicted it.
+        cache.field(&state, &table, starts[0]);
+        assert_eq!(cache.stats(), (2, 300));
+        // The least recently used start was evicted first.
+        cache.field(&state, &table, starts[1]);
+        assert_eq!(cache.stats(), (2, 301));
+        assert_eq!(cache.len(), cap);
     }
 
     #[test]

@@ -451,7 +451,7 @@ impl Compiler {
         self.compile_impl(circuit, scratch, Some(cancel))
     }
 
-    fn compile_impl(
+    pub(crate) fn compile_impl(
         &self,
         circuit: &Circuit,
         scratch: &mut CompileScratch,

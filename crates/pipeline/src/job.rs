@@ -17,8 +17,7 @@
 //! (the vendored serde is a marker-only stub, so the parser here is
 //! hand-written, mirroring the hand-written writers of
 //! [`na_schedule::export`]); [`CompileRequest::run`] builds a
-//! [`Compiler`] session, compiles every circuit (in
-//! parallel when `"threads"` says so) and returns a
+//! [`Compiler`] session, compiles every circuit in order and returns a
 //! [`CompileResponse`] whose `to_json` embeds one
 //! [`CompiledProgram::to_json`](crate::CompiledProgram::to_json)
 //! document per successful circuit.
@@ -32,7 +31,6 @@ use std::fmt;
 
 use na_arch::{AodConstraints, HardwareParams, Lattice, NativeGateSet, TargetSpec};
 use na_circuit::qasm::{from_qasm, QasmError};
-use na_circuit::Circuit;
 use na_mapper::{CancelToken, InitialLayout, MapperConfig};
 use na_schedule::export::{json_escape, json_f64};
 
@@ -152,7 +150,10 @@ pub struct CompileRequest {
     pub scheduling: SchedulingOptions,
     /// Whether to compute the ideal-baseline comparison.
     pub baseline: bool,
-    /// Worker threads for the batch (1 = inline).
+    /// The document's `"threads"`: parsed and written back by
+    /// [`CompileRequest::to_json`] but ignored when compiling, so a
+    /// document never decides how many threads compile it. Callers
+    /// that want a parallel batch use [`Compiler::compile_batch`].
     pub threads: usize,
     /// Optional wall-clock budget in milliseconds (`"deadline_ms"`).
     ///
@@ -344,7 +345,8 @@ impl CompileRequest {
     }
 
     /// Builds the [`Compiler`] session described by this request and
-    /// compiles every circuit, fanning out across `threads` workers.
+    /// compiles every circuit through [`CompileRequest::run_with`] on a
+    /// fresh scratch arena.
     ///
     /// # Errors
     ///
@@ -354,7 +356,7 @@ impl CompileRequest {
     /// failing the job.
     pub fn run(&self) -> Result<CompileResponse, CompileError> {
         let compiler = self.build_session()?;
-        Ok(self.run_with(&compiler, &mut crate::CompileScratch::new()))
+        self.run_with(&compiler, &mut crate::CompileScratch::new(), None)
     }
 
     /// Builds the [`Compiler`] session this request describes (target,
@@ -374,101 +376,46 @@ impl CompileRequest {
     }
 
     /// Compiles every circuit of the request on an already-built
-    /// session, reusing the caller's warm scratch arena.
+    /// session, one after another on the caller's warm scratch arena,
+    /// so a service worker keeps one arena warm across every request it
+    /// serves and never spawns threads on a document's behalf.
     ///
-    /// `threads > 1` fans out through
-    /// [`Compiler::compile_batch`] exactly like [`CompileRequest::run`];
-    /// otherwise circuits compile inline on `scratch` so a service
-    /// worker keeps one arena warm across every request it serves.
-    /// Artifacts are identical either way. `compiler` must be the
-    /// session of [`CompileRequest::build_session`] (or an equivalent
-    /// one — e.g. a content-hash cached instance).
-    pub fn run_with(
-        &self,
-        compiler: &Compiler,
-        scratch: &mut crate::CompileScratch,
-    ) -> CompileResponse {
-        // Parse QASM per circuit; parse failures stay in their slot
-        // while the parsed circuits land (unduplicated) in the batch.
-        let mut good: Vec<Circuit> = Vec::with_capacity(self.circuits.len());
-        let mut slots: Vec<Result<(), CompileError>> = Vec::with_capacity(self.circuits.len());
-        for job in &self.circuits {
-            match from_qasm(&job.qasm) {
-                Ok(circuit) => {
-                    good.push(circuit);
-                    slots.push(Ok(()));
-                }
-                Err(source) => slots.push(Err(CompileError::Request(RequestError::Qasm {
-                    circuit: job.name.clone(),
-                    source,
-                }))),
-            }
-        }
-        let compiled: Vec<Result<CompiledProgram, CompileError>> = if self.threads > 1 {
-            compiler.compile_batch(&good, self.threads)
-        } else {
-            good.iter()
-                .map(|c| compiler.compile_with(c, scratch))
-                .collect()
-        };
-        let mut compiled = compiled.into_iter();
-        let results = self
-            .circuits
-            .iter()
-            .zip(slots)
-            .map(|(job, slot)| JobOutcome {
-                name: job.name.clone(),
-                result: match slot {
-                    Ok(()) => compiled.next().expect("one result per parsed circuit"),
-                    Err(e) => Err(e),
-                },
-            })
-            .collect();
-        CompileResponse {
-            request_id: self.request_id.clone(),
-            target: self.target.id.clone(),
-            results,
-        }
-    }
-
-    /// [`CompileRequest::run_with`] under a cooperative
-    /// [`CancelToken`]: every circuit compiles through
+    /// With a [`CancelToken`] every circuit compiles through
     /// [`Compiler::compile_with_cancel`], and the first checkpoint trip
     /// aborts the *whole request* — a deadline covers the request, not
     /// each circuit, so the caller replies with exactly one typed
     /// deadline/cancellation document instead of a partial response.
     ///
-    /// Circuits compile inline on `scratch` regardless of `threads`
-    /// (artifacts are identical to the fan-out path; a request racing
-    /// its deadline has no business amplifying onto more cores).
+    /// `compiler` must be the session of
+    /// [`CompileRequest::build_session`] (or an equivalent one — e.g. a
+    /// content-hash cached instance).
     ///
     /// # Errors
     ///
     /// * [`CompileError::DeadlineExceeded`] / [`CompileError::Cancelled`]
     ///   — the token tripped mid-compile.
     ///
-    /// Other per-circuit failures stay in their [`JobOutcome`] slot
-    /// exactly like [`CompileRequest::run_with`].
-    pub fn run_with_cancel(
+    /// Other per-circuit failures (bad QASM, routing stuck, …) stay in
+    /// their [`JobOutcome`] slot.
+    pub fn run_with(
         &self,
         compiler: &Compiler,
         scratch: &mut crate::CompileScratch,
-        cancel: &CancelToken,
+        cancel: Option<&CancelToken>,
     ) -> Result<CompileResponse, CompileError> {
         let mut results = Vec::with_capacity(self.circuits.len());
         for job in &self.circuits {
-            let result = match from_qasm(&job.qasm) {
-                Ok(circuit) => match compiler.compile_with_cancel(&circuit, scratch, cancel) {
-                    Err(e @ (CompileError::DeadlineExceeded | CompileError::Cancelled)) => {
-                        return Err(e)
-                    }
-                    other => other,
-                },
-                Err(source) => Err(CompileError::Request(RequestError::Qasm {
-                    circuit: job.name.clone(),
-                    source,
-                })),
-            };
+            let result = from_qasm(&job.qasm)
+                .map_err(|source| {
+                    CompileError::Request(RequestError::Qasm {
+                        circuit: job.name.clone(),
+                        source,
+                    })
+                })
+                .and_then(|circuit| compiler.compile_impl(&circuit, scratch, cancel));
+            if let Err(e @ (CompileError::DeadlineExceeded | CompileError::Cancelled)) = result {
+                return Err(e);
+            }
             results.push(JobOutcome {
                 name: job.name.clone(),
                 result,
@@ -1388,6 +1335,8 @@ mod tests {
                 &minimal_request("").replace("\"lattice_side\": 6", "\"lattice_side\": 0"),
                 "request",
             ),
+            // Nesting far past the parser's depth bound.
+            (&"[".repeat(100_000), "request"),
         ] {
             let out = handle_json_document(doc);
             let parsed = json::parse(&out).expect("error document is valid JSON");
@@ -1423,7 +1372,9 @@ mod tests {
         let via_run = req.run().expect("session builds");
         let compiler = req.build_session().expect("builds");
         let mut scratch = crate::CompileScratch::new();
-        let via_run_with = req.run_with(&compiler, &mut scratch);
+        let via_run_with = req
+            .run_with(&compiler, &mut scratch, None)
+            .expect("no token to trip");
         assert_eq!(via_run.target, via_run_with.target);
         let a = via_run.results[0].result.as_ref().expect("compiles");
         let b = via_run_with.results[0].result.as_ref().expect("compiles");

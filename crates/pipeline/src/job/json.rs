@@ -5,7 +5,9 @@
 //! recursive descent over the full JSON grammar — objects, arrays,
 //! strings with escapes, numbers, booleans, null — with byte-offset
 //! error reporting. Sufficient for request/response documents; not a
-//! general-purpose streaming parser.
+//! general-purpose streaming parser. Nesting is bounded by
+//! [`MAX_DEPTH`], so hostile input gets a parse error instead of
+//! overflowing the stack.
 
 use super::RequestError;
 
@@ -88,12 +90,19 @@ impl Value {
     }
 }
 
+/// The deepest `[`/`{` nesting [`parse`] accepts. Valid v1 documents
+/// nest 3 deep (`mapping.initial_layout.random`); the bound keeps both
+/// the recursive descent and `Value`'s recursive drop far from the end
+/// of a thread's stack.
+const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON document (trailing whitespace allowed, trailing
-/// garbage rejected).
+/// garbage rejected, nesting deeper than [`MAX_DEPTH`] rejected).
 pub(crate) fn parse(text: &str) -> Result<Value, RequestError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -107,6 +116,8 @@ pub(crate) fn parse(text: &str) -> Result<Value, RequestError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -147,8 +158,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, RequestError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -157,6 +168,21 @@ impl Parser<'_> {
             Some(c) => Err(self.error(&format!("unexpected character `{}`", c as char))),
             None => Err(self.error("unexpected end of document")),
         }
+    }
+
+    /// Parses one array or object one level deeper, failing at the `[`
+    /// or `{` that would open level [`MAX_DEPTH`] + 1.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, RequestError>,
+    ) -> Result<Value, RequestError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Value, RequestError> {
@@ -328,6 +354,25 @@ mod tests {
                 "`{bad}` should fail"
             );
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&objects).is_ok());
+        let over = format!("[{at_limit}]");
+        assert!(matches!(
+            parse(&over),
+            Err(RequestError::Parse { offset, .. }) if offset == MAX_DEPTH
+        ));
+        // Far past the limit the parser stops at the first excess level
+        // instead of recursing once per byte.
+        assert!(matches!(
+            parse(&"[".repeat(100_000)),
+            Err(RequestError::Parse { offset, .. }) if offset == MAX_DEPTH
+        ));
     }
 
     #[test]

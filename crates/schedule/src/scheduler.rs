@@ -613,12 +613,6 @@ impl IncrementalScheduler {
         }
     }
 
-    /// Number of items scheduled so far (open shuttle runs not counted
-    /// until sealed).
-    pub fn items_so_far(&self) -> usize {
-        self.items.len()
-    }
-
     /// Seals the stream and returns the finished schedule.
     pub fn finish(mut self) -> Schedule {
         self.flush_run();

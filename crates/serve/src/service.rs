@@ -452,11 +452,6 @@ impl CompileService {
         }
     }
 
-    /// Whether the service still accepts submissions.
-    pub fn is_accepting(&self) -> bool {
-        self.inner.accepting.load(Ordering::SeqCst)
-    }
-
     /// Current queue depth (for tests and transports).
     pub fn queue_depth(&self) -> usize {
         self.inner.queue.depth()
@@ -788,10 +783,7 @@ fn compile_job(inner: &Inner, job: &Job, scratch: &mut CompileScratch) -> String
         Ok(compiler) => {
             let cancel = job.deadline.map(CancelToken::with_deadline_at);
             let before = scratch.map().route().distance_cache().snapshot();
-            let outcome = match &cancel {
-                Some(token) => job.request.run_with_cancel(&compiler, scratch, token),
-                None => Ok(job.request.run_with(&compiler, scratch)),
-            };
+            let outcome = job.request.run_with(&compiler, scratch, cancel.as_ref());
             let after = scratch.map().route().distance_cache().snapshot();
             inner.metrics.add_route_delta(before, after);
             match outcome {
@@ -823,7 +815,7 @@ fn compile_job(inner: &Inner, job: &Job, scratch: &mut CompileScratch) -> String
                 }
                 Err(e) => {
                     // Only deadline/cancellation stops escape
-                    // `run_with_cancel`; either way the partial
+                    // `run_with`; either way the partial
                     // artifact never reaches the cache.
                     if matches!(e, CompileError::DeadlineExceeded) {
                         inner

@@ -123,6 +123,35 @@ fn identical_and_distinct_requests_across_threads() {
     }
 }
 
+/// A served document's `"threads"` never fans its circuits out onto
+/// threads of their own: the worker compiles them on its warm scratch,
+/// so the service's route-cache counters see the distance-field work
+/// whatever the field says.
+#[test]
+fn served_threads_field_compiles_on_the_worker_scratch() {
+    // A Toffoli across the 6×6 lattice: gate-only routing queries the
+    // distance cache.
+    let ccx = "OPENQASM 2.0;\\nqreg q[20];\\nccx q[0],q[10],q[19];\\n";
+    let served_misses = |threads: usize| {
+        let doc = format!(
+            "{{\"version\": 1, \"threads\": {threads}, \
+             \"target\": {{\"preset\": \"mixed\", \"lattice_side\": 6, \"num_atoms\": 20}}, \
+             \"mapping\": {{\"mode\": \"gate_only\"}}, \
+             \"circuits\": [{{\"name\": \"a\", \"qasm\": \"{ccx}\"}}, \
+             {{\"name\": \"b\", \"qasm\": \"{ccx}\"}}]}}"
+        );
+        let service = CompileService::start(config(1, 4));
+        let response = service.submit_wait(&doc).expect("accepted");
+        assert_eq!(response.matches("\"ok\":true").count(), 2, "{response}");
+        let misses = service.metrics().route_cache().misses;
+        service.shutdown();
+        misses
+    };
+    let inline = served_misses(1);
+    assert!(inline > 0, "the circuits query the distance cache");
+    assert_eq!(served_misses(2), inline);
+}
+
 #[test]
 fn repeated_submission_hits_the_artifact_cache() {
     let service = CompileService::start(config(1, 8));

@@ -7,7 +7,7 @@
 //! paper actually evaluates (near-full 15×15, §4), so asymptotic
 //! regressions (accidental O(sites) scans per round, quadratic
 //! frontier work) surface as a timeout here rather than only in the
-//! bench tier. The mega case (QFT-128 on 100×100/4500 atoms) does the
+//! benchmark (`perfbench/`). The mega case (QFT-128 on 100×100/4500 atoms) does the
 //! same one order of magnitude up, where only the hierarchical
 //! coarse-to-fine routing keeps the compile tractable.
 
